@@ -28,12 +28,22 @@
 //!    every returned pair satisfies `‖A v − λ v‖ ≤ tol · ‖A‖_F` with
 //!    `tol =` [`DEFAULT_TOPK_TOL`] (per-pair, checked with an explicit
 //!    matrix–vector product — not just the Lanczos recurrence estimate).
-//! 4. **Fallback to the oracle.** If the basis hits its cap before the
-//!    certificate holds, the call transparently falls back to the full
-//!    [`sym_eigen`] solve (truncated to `k`), so callers never trade
-//!    accuracy for speed. [`TopkOptions::with_fallback`]`(false)` surfaces
-//!    the typed [`LinalgError::NoConvergence`] instead, for callers that
-//!    want to observe the failure.
+//! 4. **Fallback to the oracle.** The basis may grow to a budget of
+//!    `max(4k + 32, n / 2)` directions (clamped to `n`): up to `n / 2`
+//!    the fully reorthogonalized iteration, `O(n²p + np²)`, still costs
+//!    less than the `O(n³)` dense solve, and clustered spectra — the top
+//!    of a power-law ratings Gram, where `λ_{k+1} / λ_k` sits within 1% of
+//!    one — need well over `4k + 32` directions to certify. The old
+//!    `4k + 32` cap stays an extraction checkpoint, so every input that
+//!    certified inside it returns the same bits. If the basis exhausts the
+//!    budget (or an explicit [`TopkOptions::max_basis`], which is a hard
+//!    cap) before the certificate holds, the call transparently falls
+//!    back to the full [`sym_eigen`] solve (truncated to `k`), so callers
+//!    never trade accuracy for speed; [`TopkReport::attempted_basis`]
+//!    records how far the abandoned iteration got.
+//!    [`TopkOptions::with_fallback`]`(false)` surfaces the typed
+//!    [`LinalgError::NoConvergence`] instead, for callers that want to
+//!    observe the failure.
 //!
 //! Breakdown (`β ≈ 0`, an exact invariant subspace) restarts the iteration
 //! with the next deterministic direction orthogonalized against the basis,
@@ -62,10 +72,10 @@
 //! [`ivmf_env::topk_eigen_mode`]) on every call: `full` pins the oracle,
 //! `forced` always attempts the Lanczos path, and the default `auto` uses
 //! [`topk_profitable`] — the iteration wins once the matrix is big enough
-//! (`n ≥ 96`) and the basis cap is at most half the dimension. Because
-//! every accepted answer is certified against the same tolerance, the mode
-//! is a kernel choice, not a semantic one — which is why the decomposition
-//! pipeline's `StageCache` keys deliberately exclude it.
+//! (`n ≥ 96`) and the `4k + 32` checkpoint is at most half the dimension.
+//! Because every accepted answer is certified against the same tolerance,
+//! the mode is a kernel choice, not a semantic one — which is why the
+//! decomposition pipeline's `StageCache` keys deliberately exclude it.
 //!
 //! All modes (including `full`) canonicalize eigenvector column signs
 //! (largest-magnitude component positive), so answers computed by
@@ -94,17 +104,27 @@ fn default_min_basis(n: usize, k: usize) -> usize {
     (2 * k + 8).min(n)
 }
 
-/// Default basis cap: `4k + 32` directions (clamped to `n`).
-fn default_max_basis(n: usize, k: usize) -> usize {
+/// `4k + 32` directions (clamped to `n`): enough for well-separated
+/// spectra. It sizes [`topk_profitable`] and is always an extraction
+/// checkpoint of the default budget, so an input that certifies by then
+/// returns the same answer whatever the budget beyond it.
+fn checkpoint_basis(n: usize, k: usize) -> usize {
     (4 * k + 32).min(n)
+}
+
+/// Default basis budget: `max(4k + 32, n / 2)` directions (clamped to
+/// `n`). Up to `n / 2` the iteration still undercuts the dense solve it
+/// would otherwise fall back to.
+fn default_max_basis(n: usize, k: usize) -> usize {
+    checkpoint_basis(n, k).max(n / 2).min(n)
 }
 
 /// True when `auto` mode attempts the Lanczos path for an `n×n` input and
 /// `k` requested pairs: the matrix must be at least `TOPK_MIN_DIM` (`96`)
-/// wide and the default basis cap at most `n / 2`, so the iteration
+/// wide and the `4k + 32` checkpoint at most `n / 2`, so the iteration
 /// touches a strict fraction of the work the dense oracle would.
 pub fn topk_profitable(n: usize, k: usize) -> bool {
-    n >= TOPK_MIN_DIM && 2 * default_max_basis(n, k) <= n
+    n >= TOPK_MIN_DIM && 2 * checkpoint_basis(n, k) <= n
 }
 
 /// Tuning knobs for [`sym_eigen_topk_with`]. The defaults are what
@@ -115,8 +135,9 @@ pub struct TopkOptions {
     /// Relative residual tolerance (× `‖A‖_F`) certified per returned
     /// pair. Default [`DEFAULT_TOPK_TOL`].
     pub tol: f64,
-    /// Basis cap override; `None` uses `min(4k + 32, n)`. Clamped to
-    /// `[k, n]`.
+    /// Hard basis cap; `None` uses the default budget
+    /// `min(max(4k + 32, n / 2), n)` with an extraction checkpoint at
+    /// `4k + 32`. Clamped to `[k, n]`.
     pub max_basis: Option<usize>,
     /// Fall back to the dense oracle when the iteration fails to certify
     /// (default `true`); `false` surfaces [`LinalgError::NoConvergence`].
@@ -175,6 +196,11 @@ pub struct TopkReport {
     pub used_fallback: bool,
     /// Krylov basis size at acceptance (`0` on the dense path).
     pub basis_size: usize,
+    /// Krylov basis size the iteration reached, certified or not: equal
+    /// to `basis_size` on acceptance, the size at which it gave up when
+    /// `used_fallback` is set (the wasted attempt the dense solve then
+    /// repeats), and `0` when no iteration ran.
+    pub attempted_basis: usize,
     /// Certified per-pair residual norms `‖A v − λ v‖`, in eigenvalue
     /// order (empty on the dense path — the oracle is its own
     /// certificate).
@@ -227,7 +253,7 @@ pub fn sym_eigen_topk_report(
     let n = a.rows();
     let k = k.min(n);
 
-    let dense = |used_fallback: bool| -> Result<(SymEigen, TopkReport)> {
+    let dense = |used_fallback: bool, attempted_basis: usize| -> Result<(SymEigen, TopkReport)> {
         let eig = dense_truncated(a, k)?;
         Ok((
             eig,
@@ -235,13 +261,14 @@ pub fn sym_eigen_topk_report(
                 used_dense: true,
                 used_fallback,
                 basis_size: 0,
+                attempted_basis,
                 residuals: Vec::new(),
             },
         ))
     };
 
     if k == n || (!opts.force && !topk_profitable(n, k)) {
-        return dense(false);
+        return dense(false, 0);
     }
 
     // Symmetrize exactly as the dense oracle does, so both paths see the
@@ -270,6 +297,7 @@ pub fn sym_eigen_topk_report(
                 used_dense: false,
                 used_fallback: false,
                 basis_size: 0,
+                attempted_basis: 0,
                 residuals: vec![0.0; k],
             },
         ));
@@ -282,10 +310,17 @@ pub fn sym_eigen_topk_report(
                 used_dense: false,
                 used_fallback: false,
                 basis_size,
+                attempted_basis: basis_size,
                 residuals,
             },
         )),
-        Err(LinalgError::NoConvergence { .. }) if opts.fallback => dense(true),
+        // The iteration's own failure reports the basis size it gave up
+        // at; a failed small tridiagonal solve inside it does not.
+        Err(LinalgError::NoConvergence {
+            algorithm: "lanczos_topk",
+            iterations,
+        }) if opts.fallback => dense(true, iterations),
+        Err(LinalgError::NoConvergence { .. }) if opts.fallback => dense(true, 0),
         Err(e) => Err(e),
     }
 }
@@ -374,10 +409,12 @@ fn lanczos_topk(
 ) -> Result<(SymEigen, usize, Vec<f64>)> {
     let n = b.rows();
     let tol_abs = opts.tol * scale;
-    let max_basis = opts
-        .max_basis
-        .unwrap_or_else(|| default_max_basis(n, k))
-        .clamp(k, n);
+    // An explicit cap is a hard cap with no extra checkpoint, so explicit
+    // callers see exactly the checks they always did.
+    let (max_basis, checkpoint) = match opts.max_basis {
+        Some(cap) => (cap.clamp(k, n), None),
+        None => (default_max_basis(n, k), Some(checkpoint_basis(n, k))),
+    };
     let min_basis = default_min_basis(n, k).min(max_basis);
     // Below this a new direction is an exact invariant subspace to working
     // precision: normalizing it would amplify rounding noise, so restart
@@ -424,7 +461,8 @@ fn lanczos_topk(
         let p = qs.len();
         let broke_down = pending <= breakdown_tol;
         let at_cap = p == max_basis;
-        let due = p >= min_basis && (p - min_basis) % BASIS_CHECK_STRIDE == 0;
+        let due =
+            (p >= min_basis && (p - min_basis) % BASIS_CHECK_STRIDE == 0) || checkpoint == Some(p);
         let mut certified: Option<(SymEigen, Vec<f64>)> = None;
         if p >= k && (broke_down || at_cap || due) {
             if let Some(ok) = try_extract(b, &qs, &alpha, &beta, pending, k, tol_abs)? {
@@ -756,6 +794,9 @@ mod tests {
         let opts = TopkOptions::default().with_force(true).with_max_basis(10);
         let (eig, report) = sym_eigen_topk_report(&a, 10, &opts).unwrap();
         assert!(report.used_fallback, "starved basis must fall back");
+        // The abandoned attempt stays visible: it ran up to the cap.
+        assert_eq!(report.attempted_basis, 10);
+        assert_eq!(report.basis_size, 0);
         // The fallback is the very same dense solve, so eigenvalues are
         // bitwise equal to the truncated oracle's.
         assert_eq!(eig.eigenvalues, sym_eigen(&a).unwrap().eigenvalues[..10]);

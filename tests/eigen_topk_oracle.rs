@@ -9,6 +9,10 @@
 //! * degenerate spectra — repeated and clustered eigenvalues, the zero
 //!   matrix, rank-deficient Grams with `k` past the rank, `k = n`,
 //!   `k = 1` — are exercised explicitly,
+//! * the clustered top of a power-law ratings Gram, which the `4k + 32`
+//!   checkpoint cannot certify, certifies inside the default basis budget,
+//!   and wherever the checkpoint does certify the default budget returns
+//!   the very same bits,
 //! * the fallback-to-full path demonstrably triggers on a starved basis,
 //!   and with fallback disabled the typed `NoConvergence` error stays
 //!   reachable.
@@ -17,6 +21,8 @@
 //! (never the `IVMF_TOPK_EIGEN` environment knob), so the suite asserts
 //! the same behaviour under every CI environment pass.
 
+use ivmf_data::synthetic::{generate_power_law, PowerLawConfig};
+use ivmf_interval::CsrShardedIntervalMatrix;
 use ivmf_linalg::eigen_sym::{sym_eigen, SymEigen};
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
 use ivmf_linalg::{
@@ -266,6 +272,92 @@ fn no_convergence_stays_reachable_and_typed_without_fallback() {
         }
         other => panic!("expected typed NoConvergence, got {other:?}"),
     }
+}
+
+/// One bound of the interval Gram of a power-law ratings matrix: its top
+/// eigenvalues sit inside a dense cluster, the hard case for Lanczos.
+fn power_law_gram_bound(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let csr = generate_power_law(&PowerLawConfig::ratings_like(rows, cols), &mut rng);
+    let gram = CsrShardedIntervalMatrix::from_csr(&csr, rows)
+        .unwrap()
+        .interval_gram_streamed()
+        .unwrap();
+    gram.hi().clone()
+}
+
+#[test]
+fn clustered_power_law_gram_certifies_past_the_checkpoint() {
+    let g = power_law_gram_bound(4000, 320, 5);
+    let k = 20;
+    let checkpoint = 4 * k + 32;
+    // The case really is hard: the old `4k + 32` cap cannot certify it.
+    let starved = TopkOptions::default()
+        .with_max_basis(checkpoint)
+        .with_fallback(false);
+    assert!(matches!(
+        sym_eigen_topk_with(&g, k, &starved),
+        Err(LinalgError::NoConvergence {
+            algorithm: "lanczos_topk",
+            ..
+        })
+    ));
+    let (eig, report) = sym_eigen_topk_report(&g, k, &TopkOptions::default()).unwrap();
+    assert!(!report.used_dense && !report.used_fallback, "{report:?}");
+    assert!(report.basis_size > checkpoint, "{report:?}");
+    assert_eq!(report.attempted_basis, report.basis_size);
+    assert_matches_oracle(&g, &eig, k, "power-law gram");
+    assert_certified(&g, &eig, "power-law gram");
+}
+
+#[test]
+fn default_budget_preserves_answers_certified_at_the_checkpoint() {
+    // Wherever the old `4k + 32` cap certifies, the larger default budget
+    // must return the very same bits: it checks at that size too. At
+    // k = 5 and k = 7 the checkpoint falls between two regular checks.
+    let mut certified = [0; 3];
+    let mut at_checkpoint = Vec::new();
+    for (case, (k, n)) in [(5, 120), (7, 128), (20, 240)].into_iter().enumerate() {
+        let checkpoint = 4 * k + 32;
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // A bare random symmetric spectrum rarely certifies inside the
+            // checkpoint; planted leading eigenvalues make it a useful case.
+            let mut spiked = symmetric_matrix(&mut rng, n, -1.0, 1.0);
+            for i in 0..k {
+                spiked[(i, i)] += 30.0 + 3.0 * i as f64;
+            }
+            let inputs = [
+                spiked,
+                uniform_matrix(&mut rng, n + 40, n, -1.0, 1.0).gram(),
+                uniform_matrix(&mut rng, n / 2, n, 0.0, 1.0).gram(),
+            ];
+            for a in &inputs {
+                let capped = TopkOptions::default()
+                    .with_max_basis(checkpoint)
+                    .with_fallback(false);
+                let Ok((old, old_report)) = sym_eigen_topk_report(a, k, &capped) else {
+                    continue;
+                };
+                let (new, new_report) =
+                    sym_eigen_topk_report(a, k, &TopkOptions::default()).unwrap();
+                assert_eq!(new_report, old_report, "k={k} seed={seed}");
+                assert_eq!(new.eigenvalues, old.eigenvalues, "k={k} seed={seed}");
+                assert_eq!(
+                    new.eigenvectors.as_slice(),
+                    old.eigenvectors.as_slice(),
+                    "k={k} seed={seed}"
+                );
+                certified[case] += 1;
+                if old_report.basis_size == checkpoint {
+                    at_checkpoint.push(k);
+                }
+            }
+        }
+    }
+    assert!(certified.iter().all(|&c| c > 0), "{certified:?}");
+    // The off-stride checkpoints themselves were exercised.
+    assert!(at_checkpoint.contains(&5) && at_checkpoint.contains(&7));
 }
 
 #[test]
